@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/exp"
+	"repro/internal/fleet"
 	"repro/internal/mem"
 	"repro/internal/vax"
 )
@@ -407,4 +408,39 @@ func benchMultiVMClone(b *testing.B, nVMs, idlers, workers int) {
 	b.StopTimer()
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instr/sec")
 	b.ReportMetric(setup.Seconds()*1000/float64(b.N), "setup_ms/op")
+}
+
+// BenchmarkIdleQuantum measures one 5000-step drive quantum (the
+// fleet-API drive loop's) of an idle stamp fleet: a golden image and
+// its clones, all parked in WAIT between stores. Nearly every step is
+// idle, so ns/op is the host cost of idle time; cycles/quantum is the
+// simulated time the quantum covers.
+func BenchmarkIdleQuantum(b *testing.B) {
+	k := core.New(32<<20, core.Config{})
+	defer k.Release()
+	m := fleet.NewManager(k, fleet.Config{Quantum: 5000})
+	golden, err := m.Create(fleet.Spec{Name: "golden", Workload: "stamp"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := m.CloneVM(golden.ID, "", ""); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Warm up: every clone privatizes its data page and builds its
+	// shadow tables on its first rounds.
+	for i := 0; i < 50; i++ {
+		m.DriveOnce()
+	}
+	c0 := k.CPU.Cycles
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !m.DriveOnce() {
+			b.Fatal("fleet halted")
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(k.CPU.Cycles-c0)/float64(b.N), "cycles/quantum")
 }

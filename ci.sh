@@ -209,6 +209,11 @@ go build ./...
 echo "== go test"
 go test ./...
 
+# vaxbench/ is its own module, so ./... above skips it; its tests catch
+# an internal API change that breaks the benchmark harness.
+echo "== go test (vaxbench module)"
+(cd vaxbench && go test .)
+
 echo "== go test -race (all packages)"
 go test -race ./...
 

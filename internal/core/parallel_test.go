@@ -226,7 +226,11 @@ func TestExternalPostIRQWakesParkedWorker(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		k.Run(50_000_000)
+		// No step bound: idle WAIT steps are jumped in bulk, so the
+		// idle guest would spend any bound within milliseconds of host
+		// time and the run could end before the post below. The
+		// timeout is what catches a lost wakeup.
+		k.Run(0)
 	}()
 	// Let the idle guest reach its parked WAIT, then post the interrupt.
 	time.Sleep(20 * time.Millisecond)

@@ -56,8 +56,36 @@ type ExceptionSink interface {
 // Device is a hardware model that advances with the processor and may
 // request interrupts or service IPR and memory-mapped register accesses.
 type Device interface {
-	// Tick is called after every instruction with the cycles it consumed.
+	// Tick is called after every step with the cycles it consumed. An
+	// idle WAIT stretch may arrive as one call carrying many idle
+	// steps' cycles (see EventDevice), so Tick must treat n cycles at
+	// once exactly like n cycles spread over several calls.
 	Tick(c *CPU, cycles uint64)
+}
+
+// NoEvent is the NextEvent answer of a device whose Tick will never
+// change machine state without outside help (a register write, new
+// console input).
+const NoEvent = ^uint64(0)
+
+// EventDevice is an optional Device extension that lets Run jump an
+// idle processor straight to the next point where a device can change
+// machine state. NextEvent returns how many cycles must pass before
+// Tick next changes machine state (posts an interrupt, completes a
+// transfer, reloads a counter); Tick calls that stay short of it only
+// advance internal counters. A machine with any attached device that
+// does not implement EventDevice never skips.
+type EventDevice interface {
+	Device
+	NextEvent() uint64
+}
+
+// attached is one device on the processor, with its EventDevice view
+// resolved once at AddDevice (nil if it has none) so the idle skip
+// makes no per-step type assertions.
+type attached struct {
+	Device
+	ev EventDevice
 }
 
 // IPRHandler lets a device claim internal processor registers.
@@ -92,6 +120,11 @@ type Stats struct {
 	DecodeHits          uint64
 	DecodeMisses        uint64
 	DecodeInvalidations uint64
+
+	// Idle skipping (Run): jumps taken over idle WAIT stretches, and
+	// the idle steps they covered without a Step call each.
+	IdleSkips        uint64
+	IdleSkippedSteps uint64
 
 	// Superblock translation-tier counters (see sblock.go): blocks
 	// built, block entries, instructions retired inside blocks, exits
@@ -142,9 +175,10 @@ type CPU struct {
 	Variant Variant
 
 	Sink    ExceptionSink
-	devices []Device
+	devices []attached
 	iprs    []IPRHandler
 	mmio    []MMIOHandler
+	noSkip  bool // an attached device has no EventDevice view: never skip idle steps
 
 	pendingIRQ [32]uint32 // vector per device IPL; 0 = none
 	irqSummary uint32     // bit per IPL with a pending device interrupt
@@ -292,10 +326,12 @@ func (c *CPU) switchStack(newMode vax.Mode, toISP bool) {
 	c.onISP = toISP
 }
 
-// AddDevice attaches a device, registering any IPR or MMIO interfaces it
-// implements.
+// AddDevice attaches a device, registering any IPR, MMIO or
+// EventDevice interface it implements.
 func (c *CPU) AddDevice(d Device) {
-	c.devices = append(c.devices, d)
+	ev, ok := d.(EventDevice)
+	c.devices = append(c.devices, attached{Device: d, ev: ev})
+	c.noSkip = c.noSkip || !ok
 	if h, ok := d.(IPRHandler); ok {
 		c.iprs = append(c.iprs, h)
 	}

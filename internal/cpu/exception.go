@@ -172,17 +172,30 @@ func (c *CPU) Step() {
 }
 
 func (c *CPU) tick(cycles uint64) {
-	for _, d := range c.devices {
-		d.Tick(c, cycles)
+	for i := range c.devices {
+		c.devices[i].Tick(c, cycles)
 	}
 }
 
 // Run steps the machine until it halts or maxSteps steps have been
 // taken (0 = no limit). A step is an instruction, an interrupt delivery
 // or an idle WAIT cycle. It returns the number of steps taken.
+//
+// Idle WAIT steps up to the next device event are taken in one jump
+// (skipIdle); the result is the same as calling Step that many times.
 func (c *CPU) Run(maxSteps uint64) uint64 {
 	var steps uint64
 	for !c.Halted {
+		if c.waiting && !c.noSkip {
+			budget := NoEvent
+			if maxSteps != 0 {
+				budget = maxSteps - steps
+			}
+			steps += c.skipIdle(budget)
+			if maxSteps != 0 && steps >= maxSteps {
+				break
+			}
+		}
 		c.Step()
 		steps++
 		if maxSteps != 0 && steps >= maxSteps {
@@ -190,4 +203,38 @@ func (c *CPU) Run(maxSteps uint64) uint64 {
 		}
 	}
 	return steps
+}
+
+// skipIdle takes up to budget idle WAIT steps at once and returns how
+// many it took. Between events a device's state is linear in the
+// cycles it is ticked, so n idle steps are n·CostWaitIdle cycles and
+// one Tick with their total. The jump stops one step short of the
+// nearest event, leaving the step that fires it to Step; it takes
+// nothing while an interrupt is deliverable, since the next Step would
+// deliver it rather than idle.
+func (c *CPU) skipIdle(budget uint64) uint64 {
+	if c.PendingAbove(c.psl.IPL()) != 0 {
+		return 0
+	}
+	next := NoEvent
+	for i := range c.devices {
+		if t := c.devices[i].ev.NextEvent(); t < next {
+			next = t
+		}
+	}
+	if next == 0 || next == NoEvent && budget == NoEvent {
+		// An event fires on the very next step, or nothing will ever
+		// end an unbounded wait: step as usual.
+		return 0
+	}
+	n := min((next-1)/CostWaitIdle, budget)
+	if n == 0 {
+		return 0
+	}
+	cycles := n * CostWaitIdle
+	c.Cycles += cycles
+	c.tick(cycles)
+	c.Stats.IdleSkips++
+	c.Stats.IdleSkippedSteps += n
+	return n
 }

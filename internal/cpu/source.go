@@ -23,6 +23,8 @@ func (c *CPU) Counters(emit func(name string, v uint64)) {
 	emit("decode_hits", s.DecodeHits)
 	emit("decode_misses", s.DecodeMisses)
 	emit("decode_invalidations", s.DecodeInvalidations)
+	emit("idle_skips", s.IdleSkips)
+	emit("idle_skipped_steps", s.IdleSkippedSteps)
 	emit("sb_builds", s.SBBuilds)
 	emit("sb_enters", s.SBEnters)
 	emit("sb_steps", s.SBSteps)

@@ -55,6 +55,19 @@ func (k *Clock) Tick(c *cpu.CPU, cycles uint64) {
 	}
 }
 
+// NextEvent implements cpu.EventDevice: the cycles until the counter
+// overflows (a tick is counted whether or not its interrupt is
+// enabled).
+func (k *Clock) NextEvent() uint64 {
+	if k.iccs&vax.ICCSRun == 0 {
+		return cpu.NoEvent
+	}
+	if k.icr == 0 {
+		return 1
+	}
+	return uint64(-k.icr)
+}
+
 // ReadIPR implements cpu.IPRHandler.
 func (k *Clock) ReadIPR(c *cpu.CPU, r vax.IPR) (uint32, bool) {
 	switch r {
@@ -96,5 +109,5 @@ func (k *Clock) WriteIPR(c *cpu.CPU, r vax.IPR, v uint32) bool {
 	return false
 }
 
-var _ cpu.Device = (*Clock)(nil)
+var _ cpu.EventDevice = (*Clock)(nil)
 var _ cpu.IPRHandler = (*Clock)(nil)

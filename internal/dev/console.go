@@ -40,6 +40,16 @@ func (t *Console) Tick(c *cpu.CPU, cycles uint64) {
 	}
 }
 
+// NextEvent implements cpu.EventDevice: a queued byte with receive
+// interrupts enabled posts on the next Tick; otherwise only new input
+// or a register write can wake the console.
+func (t *Console) NextEvent() uint64 {
+	if t.rxIE && len(t.in) > 0 && !t.rxInt {
+		return 0
+	}
+	return cpu.NoEvent
+}
+
 // ReadIPR implements cpu.IPRHandler.
 func (t *Console) ReadIPR(c *cpu.CPU, r vax.IPR) (uint32, bool) {
 	switch r {
@@ -91,5 +101,5 @@ func (t *Console) WriteIPR(c *cpu.CPU, r vax.IPR, v uint32) bool {
 	return false
 }
 
-var _ cpu.Device = (*Console)(nil)
+var _ cpu.EventDevice = (*Console)(nil)
 var _ cpu.IPRHandler = (*Console)(nil)

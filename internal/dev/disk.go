@@ -132,6 +132,15 @@ func (d *Disk) Tick(c *cpu.CPU, cycles uint64) {
 	}
 }
 
+// NextEvent implements cpu.EventDevice: the cycles until an in-flight
+// transfer completes.
+func (d *Disk) NextEvent() uint64 {
+	if d.csr&DiskCSRReady != 0 || d.busyFor == 0 {
+		return cpu.NoEvent
+	}
+	return d.busyFor
+}
+
 // transfer moves d.count bytes between the image and physical memory.
 func (d *Disk) transfer(c *cpu.CPU) uint32 {
 	off := int(d.block) * vax.PageSize
@@ -184,5 +193,5 @@ func (d *Disk) WriteBlock(block uint32, buf []byte) error {
 	return nil
 }
 
-var _ cpu.Device = (*Disk)(nil)
+var _ cpu.EventDevice = (*Disk)(nil)
 var _ cpu.MMIOHandler = (*Disk)(nil)

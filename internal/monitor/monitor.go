@@ -574,6 +574,9 @@ func (m *Monitor) stat() string {
 		s.CHMs, s.REIs, s.MOVPSLs, s.Probes,
 		u.TLBHits, u.TLBMisses, u.TNVFaults, u.ProtFaults, u.ModifyFaults, u.MSets,
 		s.DecodeHits, s.DecodeMisses, s.DecodeInvalidations, u.FastTranslations)
+	if s.IdleSkips > 0 {
+		out += fmt.Sprintf("idle: skips %d  skipped-steps %d\n", s.IdleSkips, s.IdleSkippedSteps)
+	}
 	if c.TranslationEnabled() {
 		out += fmt.Sprintf("sblock: builds %d  enters %d  steps %d  early-exits %d  invalidations %d\n",
 			s.SBBuilds, s.SBEnters, s.SBSteps, s.SBEarlyExits, s.SBInvalidations)
