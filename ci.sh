@@ -217,6 +217,13 @@ echo "== go test (vaxbench module)"
 echo "== go test -race (all packages)"
 go test -race ./...
 
+# Differential fuzzing of decode-cache coherence beyond the committed
+# corpus (which plain go test replays): random self-modifying,
+# page-straddling and DMA-overwritten code on a cached CPU against a
+# reference that decodes every instruction from memory.
+echo "== decode-cache coherence fuzz smoke (10 s)"
+go test ./internal/cpu -run '^$' -fuzz '^FuzzDecodeCoherence$' -fuzztime 10s
+
 echo "== trace-overhead smoke (E3: recorder off vs on, >5% ns/op delta fails)"
 min_ns() {
     awk '/^BenchmarkE3/ {

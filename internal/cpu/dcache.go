@@ -12,19 +12,31 @@ import (
 // opcode byte, so re-execution translates the PC once and replays the
 // templates.
 //
-// Keying by physical address makes invalidation precise: a write to a
-// physical page drops the decodes from that page no matter which
-// virtual mapping performed the write (guest stores, VMM stores into VM
-// memory, DMA). A page-granular bitmap in front of the entry scan keeps
-// the common store (to a page with no cached decodes) at one bit test.
+// Keying by physical address makes invalidation exact: every entry
+// records how many instruction-stream bytes it was decoded from, and a
+// write drops exactly the entries whose bytes it overlaps, no matter
+// which virtual mapping performed it (guest stores, VMM stores into VM
+// memory, DMA). A write next to cached code — MiniOS keeps its kernel
+// data cells on its first code page — leaves that code cached.
 //
 // Coherence rules (see DESIGN.md):
 //
 //   - Guest stores through the CPU's own path invalidate inline
-//     (physStoreByte/physStoreLong).
+//     (physStoreByte/physStoreLong, with the store's width). A store to
+//     a page with no cached decodes costs one bit test in a page
+//     bitmap; otherwise it probes only the slots whose tag can reach
+//     the stored bytes — tags from maxSize-1 bytes before them on the
+//     same page — plus the short list of live straddling entries, whose
+//     tails live on another page.
 //   - Writers that bypass the CPU (VMM writes into VM physical memory,
-//     device DMA) call InvalidateDecode; snapshot restore calls
-//     FlushDecodeCache.
+//     device DMA) call InvalidateDecode with the written range. It
+//     costs at most one pass over the slots whatever the range's size:
+//     a range too long to probe byte by byte takes a single sweep.
+//     Snapshot restore calls FlushDecodeCache.
+//   - An instruction being recorded is not installed when it stores
+//     into bytes it has already recorded; a store elsewhere, even on
+//     its own page, leaves it cacheable. Once its recorded bytes cross
+//     onto a second page, any store aborts it.
 //   - Entries whose bytes span two pages additionally depend on the
 //     translation of the second page, so TBIA/TBIS flush them (via the
 //     MMU callbacks) and every replay revalidates the second page's
@@ -32,11 +44,26 @@ import (
 //   - A plain entry needs no TLB-coherence work: its tag is verified
 //     against a fresh translation of the PC on every execution, so a
 //     mapping change redirects or misses exactly like the TLB does.
+//
+// Beyond the one bit per page, the cache holds no state that grows with
+// memory (DESIGN.md records what a per-page line map cost fleet-api).
 
 const (
-	dcSlots    = 1024 // direct-mapped entries, indexed by PA low bits
+	dcSlots    = 1024 // direct-mapped entries, indexed by dcSlot
 	dcItemsMax = 6    // recorded decode items per instruction
+	// dcStraddleMax bounds the live page-straddling entries. Code
+	// crosses a page boundary at most once per code page, so a handful
+	// covers a working set; installing one more evicts a listed one.
+	dcStraddleMax = 16
 )
+
+// dcSlot maps an opcode's physical address to its slot. The frame bits
+// fold into the index so that equal offsets in different frames — VMs
+// sit at regular strides, so their kernels' instructions share offsets
+// — do not all compete for one slot.
+func dcSlot(pa uint32) uint32 {
+	return (pa ^ pa>>10 ^ pa>>20) & (dcSlots - 1)
+}
 
 // Decode item kinds: one item per operand specifier or raw
 // instruction-stream fetch (branch displacements), in stream order.
@@ -62,15 +89,42 @@ type dcEntry struct {
 	straddle bool   // recorded bytes span a page boundary
 	opLen    uint8  // opcode length (2 for 0xFD-prefixed)
 	n        uint8  // recorded items
+	size     uint8  // instruction-stream bytes recorded, opcode included
 	heat     uint16 // replays seen by the superblock tier (sblock.go)
 	items    [dcItemsMax]ditem
 }
 
+// overlaps reports whether any byte the entry was decoded from lies in
+// the physical range [lo, hi).
+func (e *dcEntry) overlaps(lo, hi uint32) bool {
+	end := e.tag + uint32(e.size)
+	if !e.straddle {
+		return e.tag < hi && lo < end
+	}
+	head := vax.PageBase(e.tag) + vax.PageSize
+	return e.tag < hi && lo < head ||
+		e.tag2 < hi && lo < e.tag2+(end-head)
+}
+
 type dcache struct {
-	entries   []dcEntry
-	pageBits  []uint64 // physical pages holding at least one cached decode
-	pageLim   uint32   // number of physical pages covered by pageBits
-	straddles int      // live straddle entries, guarding flushStraddleDecodes
+	entries  []dcEntry
+	pageBits []uint64              // physical pages that may hold cached decode bytes
+	pageLim  uint32                // number of physical pages covered by pageBits
+	maxSize  uint32                // longest entry installed since the last flush
+	strad    [dcStraddleMax]uint16 // slots of the live straddling entries
+	nStrad   int
+}
+
+// unlistStraddle removes slot s from the straddle list (moving the last
+// listed slot into its place).
+func (d *dcache) unlistStraddle(s uint32) {
+	for i := 0; i < d.nStrad; i++ {
+		if uint32(d.strad[i]) == s {
+			d.nStrad--
+			d.strad[i] = d.strad[d.nStrad]
+			return
+		}
+	}
 }
 
 func (d *dcache) markPage(page uint32) {
@@ -103,8 +157,8 @@ type cursor struct {
 	n        uint8 // record: items captured; replay: items consumed
 	lastOff  uint8 // record: furthest PC offset any item reached
 	overflow bool  // record: more items than an entry can hold
-	aborted  bool  // record: the instruction stored into its own pages
-	recPage  uint32
+	aborted  bool  // record: the instruction stored into its recorded bytes
+	recPA    uint32
 	ent      *dcEntry // replay source
 	items    [dcItemsMax]ditem
 }
@@ -203,7 +257,7 @@ func (c *CPU) execOne() error {
 // result through here on a miss).
 func (c *CPU) execOneAt(pa uint32, paOK bool) error {
 	if paOK {
-		e := &c.dc.entries[pa&(dcSlots-1)]
+		e := &c.dc.entries[dcSlot(pa)]
 		if e.valid && e.tag == pa &&
 			(!e.straddle || c.straddleValid(e)) {
 			return c.execReplay(e)
@@ -276,7 +330,7 @@ func (c *CPU) execCold(pa uint32, paOK bool) error {
 		cu.lastOff = opLen
 		cu.overflow = false
 		cu.aborted = false
-		cu.recPage = pa / vax.PageSize
+		cu.recPA = pa
 	}
 
 	c.Cycles += uint64(ie.cost)
@@ -313,23 +367,31 @@ func (c *CPU) finishRecord(pa, va uint32, opLen uint8, ie *instrEntry) {
 	if cu.overflow || cu.aborted {
 		return
 	}
+	d := &c.dc
 	straddle := (va&vax.PageMask)+uint32(cu.lastOff) > vax.PageSize
 	var tag2 uint32
 	if straddle {
 		va2 := vax.PageBase(va) + vax.PageSize
 		pa2, ok := c.MMU.TranslateFast(va2, mmu.Read, c.psl.Cur())
-		if !ok || pa2/vax.PageSize >= c.dc.pageLim {
+		if !ok || pa2/vax.PageSize >= d.pageLim {
 			return
 		}
 		tag2 = pa2
-		c.dc.markPage(pa2 / vax.PageSize)
+		d.markPage(pa2 / vax.PageSize)
 	}
-	e := &c.dc.entries[pa&(dcSlots-1)]
+	s := dcSlot(pa)
+	e := &d.entries[s]
 	if e.valid && e.straddle {
-		c.dc.straddles--
+		d.unlistStraddle(s)
 	}
 	if straddle {
-		c.dc.straddles++
+		if d.nStrad == dcStraddleMax {
+			victim := uint32(d.strad[0])
+			d.entries[victim].valid = false
+			d.unlistStraddle(victim)
+		}
+		d.strad[d.nStrad] = uint16(s)
+		d.nStrad++
 	}
 	e.tag = pa
 	e.tag2 = tag2
@@ -337,60 +399,130 @@ func (c *CPU) finishRecord(pa, va uint32, opLen uint8, ie *instrEntry) {
 	e.straddle = straddle
 	e.opLen = opLen
 	e.n = cu.n
+	e.size = cu.lastOff
 	e.heat = 0
 	e.items = cu.items
 	e.valid = true
-	c.dc.markPage(pa / vax.PageSize)
+	if uint32(cu.lastOff) > d.maxSize {
+		d.maxSize = uint32(cu.lastOff)
+	}
+	d.markPage(pa / vax.PageSize)
 }
 
-// invalidateDecodePA drops every cached decode whose bytes may live in
-// the physical page containing pa. Called on each store; the bitmap
-// keeps the no-cached-code case at one bit test.
-func (c *CPU) invalidateDecodePA(pa uint32) {
-	page := pa / vax.PageSize
-	if cu := &c.cur; cu.mode == curRecord {
-		// The executing instruction stored into its own bytes (or past
-		// its page while straddling): the captured items may already be
-		// stale, so do not install them.
-		if page == cu.recPage ||
-			(c.instStartPC&vax.PageMask)+uint32(cu.lastOff) > vax.PageSize {
-			cu.aborted = true
-		}
+// dropDecode invalidates the entry in slot s.
+func (c *CPU) dropDecode(s uint32) {
+	e := &c.dc.entries[s]
+	e.valid = false
+	if e.straddle {
+		c.dc.unlistStraddle(s)
 	}
+	c.Stats.DecodeInvalidations++
+}
+
+// abortRecordOverlap keeps the instruction being recorded from being
+// installed when a write to [lo, hi) overlaps the bytes it has recorded
+// so far: those items may already be stale. Bytes it records after the
+// write are read from the written memory, so they need no check.
+func (c *CPU) abortRecordOverlap(lo, hi uint32) {
+	cu := &c.cur
+	if cu.mode != curRecord {
+		return
+	}
+	// Once the recorded bytes cross onto the next page, whose physical
+	// address is not known here, any write aborts.
+	if (c.instStartPC&vax.PageMask)+uint32(cu.lastOff) > vax.PageSize ||
+		lo < cu.recPA+uint32(cu.lastOff) && cu.recPA < hi {
+		cu.aborted = true
+	}
+}
+
+// invalidateDecodePA drops the cached decodes overlapping the n bytes
+// stored at pa, which lie in one page (callers split page-straddling
+// stores). Called on each store; the page bitmap keeps the
+// no-cached-code case at one bit test.
+func (c *CPU) invalidateDecodePA(pa, n uint32) {
+	c.abortRecordOverlap(pa, pa+n)
+	page := pa / vax.PageSize
 	if c.sb != nil {
 		c.sbInvalidatePage(page)
 	}
-	if !c.dc.pageMarked(page) {
-		return
+	if c.dc.pageMarked(page) {
+		c.invalidateDecodeBytes(pa, pa+n)
 	}
-	for i := range c.dc.entries {
-		e := &c.dc.entries[i]
-		if !e.valid {
+}
+
+// invalidateDecodeBytes drops the entries overlapping [lo, hi), a range
+// within one physical page. An entry's head lies on its tag's page, so
+// only tags from maxSize-1 bytes before lo (but on lo's page) up to hi
+// can reach the range; a straddler's tail lies on another page and is
+// found through the straddle list.
+func (c *CPU) invalidateDecodeBytes(lo, hi uint32) {
+	d := &c.dc
+	t := vax.PageBase(lo)
+	if back := d.maxSize - 1; d.maxSize > 0 && lo-t > back {
+		t = lo - back
+	}
+	for ; t < hi; t++ {
+		s := dcSlot(t)
+		if e := &d.entries[s]; e.valid && e.tag == t && e.overlaps(lo, hi) {
+			c.dropDecode(s)
+		}
+	}
+	for i := 0; i < d.nStrad; {
+		s := uint32(d.strad[i])
+		if d.entries[s].overlaps(lo, hi) {
+			c.dropDecode(s) // moves the last listed slot into i
 			continue
 		}
-		if e.tag/vax.PageSize == page || (e.straddle && e.tag2/vax.PageSize == page) {
-			e.valid = false
-			if e.straddle {
-				c.dc.straddles--
-			}
-			c.Stats.DecodeInvalidations++
-		}
+		i++
 	}
-	c.dc.clearPage(page)
 }
 
 // InvalidateDecode drops cached decoded instructions overlapping the
 // physical range [pa, pa+n). It is the hook for writers that bypass the
 // CPU's own store path: the VMM storing into a VM's physical memory and
-// device DMA.
+// device DMA. It costs at most one pass over the slots: a range whose
+// byte-by-byte probe would cost more (a whole VM's memory, say) is
+// swept once instead.
 func (c *CPU) InvalidateDecode(pa, n uint32) {
 	if n == 0 {
 		return
 	}
-	first := pa / vax.PageSize
-	last := (pa + n - 1) / vax.PageSize
+	d := &c.dc
+	end := pa + n
+	c.abortRecordOverlap(pa, end)
+	first, last := pa/vax.PageSize, (end-1)/vax.PageSize
+	marked := uint32(0)
 	for p := first; p <= last; p++ {
-		c.invalidateDecodePA(p * vax.PageSize)
+		if c.sb != nil {
+			c.sbInvalidatePage(p)
+		}
+		if d.pageMarked(p) {
+			marked++
+		}
+	}
+	if marked == 0 {
+		return
+	}
+	if n+marked*(d.maxSize+uint32(d.nStrad)) > dcSlots {
+		for s := range d.entries {
+			if e := &d.entries[s]; e.valid && e.overlaps(pa, end) {
+				c.dropDecode(uint32(s))
+			}
+		}
+	} else {
+		for p := first; p <= last; p++ {
+			if d.pageMarked(p) {
+				base := p * vax.PageSize
+				c.invalidateDecodeBytes(max(pa, base), min(end, base+vax.PageSize))
+			}
+		}
+	}
+	// Pages the range covers whole now hold no cached bytes.
+	for p := first; p <= last; p++ {
+		if p*vax.PageSize >= pa && (p+1)*vax.PageSize <= end {
+			d.clearPage(p)
+		}
 	}
 }
 
@@ -406,7 +538,8 @@ func (c *CPU) FlushDecodeCache() {
 	for i := range c.dc.pageBits {
 		c.dc.pageBits[i] = 0
 	}
-	c.dc.straddles = 0
+	c.dc.maxSize = 0
+	c.dc.nStrad = 0
 	c.sbFlush()
 }
 
@@ -423,15 +556,10 @@ func (c *CPU) flushStraddleDecodes() {
 		// entry check has already passed.
 		c.sb.tlbFlush = true
 	}
-	if c.dc.straddles == 0 {
-		return
+	d := &c.dc
+	for i := 0; i < d.nStrad; i++ {
+		d.entries[d.strad[i]].valid = false
+		c.Stats.DecodeInvalidations++
 	}
-	for i := range c.dc.entries {
-		e := &c.dc.entries[i]
-		if e.valid && e.straddle {
-			e.valid = false
-			c.Stats.DecodeInvalidations++
-		}
-	}
-	c.dc.straddles = 0
+	d.nStrad = 0
 }

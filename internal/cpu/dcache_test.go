@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/mem"
@@ -152,4 +153,188 @@ func TestStraddleRemapTBIA(t *testing.T) {
 	}
 	c.MMU.TBIA()
 	runStraddle(t, c, instVA, strImm2)
+}
+
+// decodeCached reports whether a valid decode-cache entry is tagged
+// with physical address pa.
+func decodeCached(c *CPU, pa uint32) bool {
+	e := &c.dc.entries[dcSlot(pa)]
+	return e.valid && e.tag == pa
+}
+
+// TestStoreInvalidationIsByteExact caches one 8-byte instruction (at
+// the longword-aligned testOrigin, MMU off) and stores next to it and
+// into it: a store touching none of its bytes keeps the entry, a store
+// overlapping even one byte at either end drops it. Each store writes
+// back the bytes already there, so only the invalidation is observed.
+func TestStoreInvalidationIsByteExact(t *testing.T) {
+	const size = 8 // addl3 #imm32, r1, r0: C1 8F imm32 51 50
+	cases := []struct {
+		name  string
+		off   int32 // store address relative to the opcode byte
+		width int
+		keep  bool
+	}{
+		{"byte just before", -1, 1, true},
+		{"long just before", -4, 4, true},
+		{"byte just after", size, 1, true},
+		{"long just after", size, 4, true},
+		{"byte on the opcode", 0, 1, false},
+		{"byte on the last byte", size - 1, 1, false},
+		{"unaligned long onto the opcode", -3, 4, false},
+		{"unaligned long onto the last byte", size - 1, 4, false},
+		{"aligned long over the tail", size - 4, 4, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ma := newMachine(t, StandardVAX, `
+start:	addl3 #0x12345678, r1, r0
+	halt
+`)
+			ma.run(t, 10)
+			pa := ma.prog.MustSymbol("start")
+			if !decodeCached(ma.c, pa) {
+				t.Fatal("instruction was not cached")
+			}
+			at := uint32(int32(pa) + tc.off)
+			v, err := ma.c.LoadVirt(at, tc.width, vax.Kernel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ma.c.StoreVirt(at, tc.width, v, vax.Kernel); err != nil {
+				t.Fatal(err)
+			}
+			if got := decodeCached(ma.c, pa); got != tc.keep {
+				t.Errorf("entry cached after the store = %t, want %t", got, tc.keep)
+			}
+		})
+	}
+}
+
+// TestStoreInvalidatesStraddlerTail stores into the operand bytes of a
+// page-straddling instruction, which live on a different physical page
+// than its opcode: the entry must drop. A store to the byte after its
+// last operand byte must not drop it.
+func TestStoreInvalidatesStraddlerTail(t *testing.T) {
+	page3 := uint32(vax.SystemBase) + 3*vax.PageSize
+	for _, tc := range []struct {
+		off  uint32 // offset into S page 3 (frame strFrameB)
+		keep bool
+	}{
+		{0, false}, // the immediate's specifier byte
+		{5, false}, // the register operand, the entry's last byte
+		{6, true},  // the HALT after it
+	} {
+		c, m, instVA := newStraddleMachine(t)
+		runStraddle(t, c, instVA, strImm1)
+		tag := uint32(strFrameA*vax.PageSize + vax.PageSize - 1)
+		if !decodeCached(c, tag) || !c.dc.entries[dcSlot(tag)].straddle {
+			t.Fatal("straddling instruction was not cached as a straddler")
+		}
+		b, err := m.LoadByte(strFrameB*vax.PageSize + tc.off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.StoreVirt(page3+tc.off, 1, uint32(b), vax.Kernel); err != nil {
+			t.Fatal(err)
+		}
+		if got := decodeCached(c, tag); got != tc.keep {
+			t.Errorf("store at tail offset %d: entry cached = %t, want %t", tc.off, got, tc.keep)
+		}
+		if !tc.keep && c.dc.nStrad != 0 {
+			t.Errorf("dropped straddler still listed (%d listed)", c.dc.nStrad)
+		}
+	}
+}
+
+// TestInvalidateDecodeRangesAreExact caches a run of 7-byte
+// instructions spanning three physical pages, then checks that
+// InvalidateDecode over unaligned, page-crossing and multi-page ranges
+// (probed byte by byte or swept) drops exactly the entries whose bytes
+// overlap the range.
+func TestInvalidateDecodeRangesAreExact(t *testing.T) {
+	const (
+		instLen = 7 // movl #imm32, r0: D0 8F imm32 50
+		count   = 140
+	)
+	src := "start:\n"
+	for i := 0; i < count; i++ {
+		src += "\tmovl #0x12345678, r0\n"
+	}
+	src += "\thalt\n"
+	for _, r := range []struct {
+		name  string
+		lo, n uint32 // lo relative to the first instruction
+	}{
+		{"one byte mid-instruction", 10, 1},
+		{"unaligned within a page", 23, 13},
+		{"across a page boundary", 512 - testOrigin%512 - 5, 20},
+		{"multi-page, probed", 3, 700},
+		{"multi-page, swept", 5, 1015},
+		{"all of memory", 0, 0},
+	} {
+		t.Run(r.name, func(t *testing.T) {
+			ma := newMachine(t, StandardVAX, src)
+			ma.run(t, 1000)
+			base := ma.prog.MustSymbol("start")
+			lo, n := base+r.lo, r.n
+			if n == 0 {
+				lo, n = 0, ma.m.Size()
+			}
+			var before []bool
+			cached := 0
+			for i := uint32(0); i < count; i++ {
+				ok := decodeCached(ma.c, base+i*instLen)
+				before = append(before, ok)
+				if ok {
+					cached++
+				}
+			}
+			if cached < count*9/10 {
+				t.Fatalf("only %d of %d instructions cached", cached, count)
+			}
+			ma.c.InvalidateDecode(lo, n)
+			for i := uint32(0); i < count; i++ {
+				pa := base + i*instLen
+				overlaps := pa < lo+n && lo < pa+instLen
+				want := before[i] && !overlaps
+				if got := decodeCached(ma.c, pa); got != want {
+					t.Errorf("instruction at %#x (range [%#x,%#x)): cached = %t, want %t",
+						pa, lo, lo+n, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestRecordingStoreAbortsOnlyOnOverlap checks the self-store rule
+// while an instruction is being recorded: a store that misses its bytes
+// leaves it cacheable, even on its own page (MiniOS's incl of a kernel
+// data cell next to its code), while a store into any byte it has
+// recorded keeps it out of the cache.
+func TestRecordingStoreAbortsOnlyOnOverlap(t *testing.T) {
+	// movb #0, @#start+off is 7 bytes: 90 00 9F addr32.
+	for _, tc := range []struct {
+		off    int32 // stored byte relative to the instruction
+		cached bool
+	}{
+		{-1, true},
+		{0, false},
+		{6, false},
+		{7, true},
+		{200, true}, // same page, well clear of the instruction
+	} {
+		ma := newMachine(t, StandardVAX, fmt.Sprintf(`
+start:	movb #0, @#start%+d
+	halt
+`, tc.off))
+		start := ma.prog.MustSymbol("start")
+		if (start+200)/vax.PageSize != start/vax.PageSize {
+			t.Fatal("test layout: the far store leaves the code page")
+		}
+		ma.c.Step()
+		if got := decodeCached(ma.c, start); got != tc.cached {
+			t.Errorf("store at start%+d: instruction cached = %t, want %t", tc.off, got, tc.cached)
+		}
+	}
 }

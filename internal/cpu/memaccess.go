@@ -38,7 +38,7 @@ func (c *CPU) physStoreByte(pa uint32, v byte) error {
 			return h.StoreReg(c, pa-base, uint32(v))
 		}
 	}
-	c.invalidateDecodePA(pa)
+	c.invalidateDecodePA(pa, 1)
 	return c.Mem.StoreByte(pa, v)
 }
 
@@ -61,9 +61,10 @@ func (c *CPU) physStoreLong(pa uint32, v uint32) error {
 			return h.StoreReg(c, pa-base, v)
 		}
 	}
-	// A longword store stays within one page (callers split straddling
-	// accesses), so one page invalidation covers it.
-	c.invalidateDecodePA(pa)
+	// Callers pass only longword-aligned addresses (unaligned and
+	// page-straddling longwords go byte by byte), so the four bytes lie
+	// in one page.
+	c.invalidateDecodePA(pa, 4)
 	return c.Mem.StoreLong(pa, v)
 }
 

@@ -36,10 +36,12 @@ import (
 //     VM — anything that alters translation or interrupt
 //     deliverability), and finally the edge check: the next step runs
 //     only if PC actually arrived at its recorded address.
-//   - Invalidation through the existing page hooks. Stores, DMA and
-//     VMM writes funnel through invalidateDecodePA, snapshot restore
-//     through FlushDecodeCache; both now drop superblocks alongside
-//     decode entries, keyed by the same physical-page bitmap trick.
+//   - Invalidation through the decode cache's hooks. Stores funnel
+//     through invalidateDecodePA, DMA and VMM writes through
+//     InvalidateDecode, snapshot restore through FlushDecodeCache; all
+//     drop superblocks alongside decode entries. Superblocks stay
+//     page-granular: a write anywhere on a page they were recorded
+//     from drops them, under their own physical-page bitmap.
 //
 // Interrupts are polled at block boundaries only: a device interrupt
 // (or a guest-raised software interrupt) arriving mid-block is
@@ -201,7 +203,7 @@ func (c *CPU) stepTranslated() {
 		// No block here: heat the decoded entry under this PA and start
 		// a build when it crosses the threshold (the build then feeds
 		// off the interpretation below).
-		if e := &c.dc.entries[pa&(dcSlots-1)]; e.valid && e.tag == pa {
+		if e := &c.dc.entries[dcSlot(pa)]; e.valid && e.tag == pa {
 			e.heat++
 			if e.heat >= sb.threshold {
 				e.heat = 0
@@ -326,7 +328,7 @@ func (c *CPU) sbBuildAppend(err error) {
 		c.sbFinishBuild()
 		return
 	}
-	e := &c.dc.entries[pa&(dcSlots-1)]
+	e := &c.dc.entries[dcSlot(pa)]
 	if !e.valid || e.tag != pa {
 		c.sbFinishBuild()
 		return
@@ -707,9 +709,9 @@ func (c *CPU) execBound(fb *sbBound) {
 }
 
 // sbInvalidatePage drops every superblock depending on the given
-// physical page, and aborts a build recording from it. Called from
-// invalidateDecodePA under the page bitmap, so the common store costs
-// one extra bit test.
+// physical page, and aborts a build recording from it. Called for
+// every page a store or InvalidateDecode writes; the page bitmap keeps
+// the common store at one extra bit test.
 func (c *CPU) sbInvalidatePage(page uint32) {
 	sb := c.sb
 	if sb.building && sb.bld.dependsOnPage(page) {

@@ -19,6 +19,10 @@ type SPSC[T any] struct {
 	head    atomic.Uint64 // next write, producer-owned
 	tail    atomic.Uint64 // next read, drainer-owned
 	dropped atomic.Uint64
+	// wpos and rpos are head and tail modulo len(buf), kept by their
+	// owners so that neither side divides per entry.
+	wpos int // producer-owned
+	rpos int // drainer-owned
 }
 
 // NewSPSC builds a ring holding up to n entries (minimum 1).
@@ -37,7 +41,10 @@ func (r *SPSC[T]) Push(v T) bool {
 		r.dropped.Add(1)
 		return false
 	}
-	r.buf[h%uint64(len(r.buf))] = v
+	r.buf[r.wpos] = v
+	if r.wpos++; r.wpos == len(r.buf) {
+		r.wpos = 0
+	}
 	r.head.Store(h + 1)
 	return true
 }
@@ -47,7 +54,10 @@ func (r *SPSC[T]) Push(v T) bool {
 func (r *SPSC[T]) Drain(f func(T)) {
 	t, h := r.tail.Load(), r.head.Load()
 	for ; t < h; t++ {
-		f(r.buf[t%uint64(len(r.buf))])
+		f(r.buf[r.rpos])
+		if r.rpos++; r.rpos == len(r.buf) {
+			r.rpos = 0
+		}
 	}
 	r.tail.Store(t)
 }
