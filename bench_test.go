@@ -215,12 +215,12 @@ loop:	wait
 // monitor and the fleet boot) happens with the timer stopped, so
 // instr/sec measures execution, not setup; setup cost is reported
 // separately as setup_ms/op.
-func benchMultiVM(b *testing.B, nVMs, idlers, workers int) {
+func benchMultiVM(b *testing.B, nVMs, idlers, workers int, translate bool) {
 	computeImg, computeStart := multiVMImage(b)
 	idleImg, idleStart := multiVMIdleImage(b)
 	// 64 KB of RAM plus a few dozen shadow pages per VM.
 	memBytes := uint32(nVMs)*(128<<10) + (1 << 20)
-	cfg := core.Config{Workers: workers}
+	cfg := core.Config{Workers: workers, Translation: translate}
 	if idlers > 0 {
 		cfg.WaitTimeout = 2
 	}
@@ -277,21 +277,30 @@ func benchMultiVM(b *testing.B, nVMs, idlers, workers int) {
 // workers, where parked VMs must cost no worker time. The instr/sec
 // metric is the number the tentpole is judged by: parallel/8VM should
 // deliver at least twice serial/8VM on a host with 8 or more cores.
+// The _tier variants run the 2-VM pair with the translation tier on,
+// the shape of a superblock-driven fleet: two workers stepping side by
+// side are where cache lines shared between shards show up.
 func BenchmarkMultiVMScaling(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("serial_%dVM", n), func(b *testing.B) {
-			benchMultiVM(b, n, 0, 1)
+			benchMultiVM(b, n, 0, 1, false)
 		})
 		if n > 1 {
 			b.Run(fmt.Sprintf("parallel_%dVM_%dw", n, n), func(b *testing.B) {
-				benchMultiVM(b, n, 0, n)
+				benchMultiVM(b, n, 0, n, false)
 			})
 		}
 	}
+	b.Run("serial_2VM_tier", func(b *testing.B) {
+		benchMultiVM(b, 2, 0, 1, true)
+	})
+	b.Run("parallel_2VM_2w_tier", func(b *testing.B) {
+		benchMultiVM(b, 2, 0, 2, true)
+	})
 	for _, n := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("density_%dVM_8w", n), func(b *testing.B) {
 			busy := n / 32
-			benchMultiVM(b, n, n-busy, 8)
+			benchMultiVM(b, n, n-busy, 8, false)
 		})
 	}
 	for _, n := range []int{256, 1024} {

@@ -65,6 +65,33 @@ if [ "${1:-}" = "bench" ]; then
         END { print "\n]" }
     ' > "$out"
     echo "wrote $out"
+    # Information only, never a gate: a host with fewer than two free
+    # cores cannot scale, so the 2-VM pair is reported for reading
+    # beside the 8-VM ratio gated below.
+    echo "== parallel/serial throughput ratio at 2 VMs (informational)"
+    awk -v curfile="$out" '
+        # exact matches a benchmark name with or without its GOMAXPROCS
+        # suffix, so serial_2VM does not also match serial_2VM_tier.
+        function rate(pat,    line, name, val) {
+            while ((getline line < curfile) > 0) {
+                if (line !~ /"name"/) continue
+                name = line; sub(/.*"name": "/, "", name); sub(/".*/, "", name)
+                if (name !~ ("MultiVMScaling/" pat "(-[0-9]+)?$")) continue
+                val = line; sub(/.*"instr_per_sec": /, "", val); sub(/[,}].*/, "", val)
+                close(curfile)
+                return val + 0
+            }
+            close(curfile)
+            return 0
+        }
+        function show(label, s, p) {
+            if (s == 0 || p == 0) printf "  %-12s numbers missing\n", label
+            else printf "  %-12s parallel/serial = %.3f\n", label, p / s
+        }
+        BEGIN {
+            show("interpreter", rate("serial_2VM"), rate("parallel_2VM_2w"))
+            show("tier", rate("serial_2VM_tier"), rate("parallel_2VM_2w_tier"))
+        }'
     if [ -n "$prev" ]; then
         echo "== bench diff vs $prev (E-series, >10% ns/op or allocs/op regression fails)"
         if awk -v prevfile="$prev" -v curfile="$out" '

@@ -303,7 +303,13 @@ type allocCache struct {
 type VMM struct {
 	CPU   *cpu.CPU
 	Mem   *mem.Memory
-	Clock *dev.Clock
+	Clock *dev.Clock // points at clock
+
+	// clock is the interval timer, held by value so it shares the
+	// monitor's own cache lines: a worker writes its shard's clock on
+	// every step, and a separately allocated 24-byte clock would share
+	// a line with another shard's (DESIGN.md §9).
+	clock dev.Clock
 
 	cfg Config
 	vms []*VM
@@ -375,16 +381,16 @@ func New(memBytes uint32, cfg Config, opts ...Option) *VMM {
 	}
 	c := cpu.New(m, cpu.ModifiedVAX)
 	k := &VMM{
-		CPU:   c,
-		Mem:   m,
-		Clock: dev.NewClock(),
-		cfg:   cfg.withDefaults(),
-		cur:   -1,
-		rec:   cfg.Recorder,
+		CPU: c,
+		Mem: m,
+		cfg: cfg.withDefaults(),
+		cur: -1,
+		rec: cfg.Recorder,
 		// page 0 reserved for the (unused) real SCB
 		shared: &vmmShared{nextPage: 1, pageRuns: make(map[uint32][]uint32)},
 		ioBuf:  make([]byte, vax.PageSize),
 	}
+	k.Clock = &k.clock
 	c.Sink = k
 	c.AddDevice(k.Clock)
 	c.TrapAllInVM = k.cfg.Scheme == TrapAll

@@ -7,9 +7,9 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/cpu"
-	"repro/internal/dev"
 	"repro/internal/trace"
 	"repro/internal/vax"
 )
@@ -259,9 +259,15 @@ func (e *engine) finish(vm *VM) {
 }
 
 // worker is one goroutine of the pool with its shard and its owner-
-// confined counters, padded so adjacent workers' counter updates never
-// share a cache line.
+// confined counters, padded to whole cache lines: Go's size classes
+// that are multiples of 64 bytes start every object on a line
+// boundary, so a worker shares no line with another worker.
 type worker struct {
+	workerState
+	_ [(cacheLine - unsafe.Sizeof(workerState{})%cacheLine) % cacheLine]byte
+}
+
+type workerState struct {
 	id        int
 	shard     *VMM
 	ctx       context.Context // pprof label context ("worker" set)
@@ -271,7 +277,17 @@ type worker struct {
 	dispatches uint64
 	steals     uint64
 	parks      uint64
-	_          [64]byte
+}
+
+// cacheLine is the host cache-line size the worker padding assumes.
+const cacheLine = 64
+
+// newWorker binds a pool goroutine's state to its shard at the start
+// of a run.
+func newWorker(id int, s *VMM) *worker {
+	w := new(worker)
+	w.id, w.shard, w.statsBase = id, s, s.CPU.Stats
+	return w
 }
 
 // newWorkerShard builds a per-worker monitor. It mirrors New, but over
@@ -283,7 +299,6 @@ func (k *VMM) newWorkerShard() *VMM {
 	s := &VMM{
 		CPU:    c,
 		Mem:    k.Mem,
-		Clock:  dev.NewClock(),
 		cfg:    k.cfg,
 		vms:    make([]*VM, 1),
 		cur:    -1,
@@ -293,6 +308,7 @@ func (k *VMM) newWorkerShard() *VMM {
 		rec:    k.rec,
 		ioBuf:  make([]byte, vax.PageSize),
 	}
+	s.Clock = &s.clock
 	c.Sink = s
 	c.AddDevice(s.Clock)
 	c.TrapAllInVM = s.cfg.Scheme == TrapAll
@@ -524,7 +540,7 @@ func (k *VMM) RunParallel(workers int, maxStepsPerVM uint64) uint64 {
 	for i := range ws {
 		s := k.workerShards[i]
 		k.resetShard(s)
-		ws[i] = &worker{id: i, shard: s, statsBase: s.CPU.Stats}
+		ws[i] = newWorker(i, s)
 	}
 	for _, vm := range live {
 		vm.lastShard = nil

@@ -231,11 +231,15 @@ type CPU struct {
 
 	// dc is the decoded-instruction cache; cur is the record/replay
 	// cursor of the instruction currently executing (dcache.go). sb is
-	// the hot-trace superblock tier, nil unless EnableTranslation
-	// opted this processor in (sblock.go).
+	// the hot-trace superblock tier: it points at sbc while
+	// EnableTranslation has this processor opted in, and is nil
+	// otherwise (sblock.go). sbc is held by value so the tier's header,
+	// written at every block entry, sits on this processor's own cache
+	// lines rather than beside another processor's.
 	dc  dcache
 	cur cursor
 	sb  *sbCache
+	sbc sbCache
 
 	// OnTraceCompile, when non-nil, is invoked after each superblock
 	// install with the block's start VA and step count (the flight

@@ -240,8 +240,16 @@ func (c *CPU) fetchStream16() (uint16, error) {
 func (c *CPU) initDecodeCache() {
 	pages := c.Mem.Pages()
 	c.dc.entries = make([]dcEntry, dcSlots)
-	c.dc.pageBits = make([]uint64, (pages+63)/64)
+	c.dc.pageBits = pageBitmap(pages)
 	c.dc.pageLim = pages
+}
+
+// pageBitmap returns a bitmap with one bit per physical page, rounded
+// up to whole 64-byte cache lines. Go starts every allocation whose
+// size is a multiple of 64 bytes on a line boundary, so one processor's
+// bitmap updates never share a line with another processor's.
+func pageBitmap(pages uint32) []uint64 {
+	return make([]uint64, (pages+511)/512*8)
 }
 
 // execOne fetches, decodes and executes a single instruction, replaying

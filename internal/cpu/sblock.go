@@ -129,9 +129,11 @@ func (b *sblock) addPage(vaBase, paBase uint32) bool {
 	return true
 }
 
-// sbCache is the superblock tier's state, allocated only when a CPU
-// opts in via EnableTranslation (about 1.2 MB; a tier-off CPU carries
-// a nil pointer).
+// sbCache is the superblock tier's state. Its header lives in the CPU
+// (CPU.sbc); the block slots and page bitmap behind it are allocated
+// only when the CPU opts in via EnableTranslation (sbSlots sblocks of
+// 5,424 bytes, about 1.39 MB; a tier-off CPU carries an empty header
+// and a nil sb pointer).
 type sbCache struct {
 	blocks   []sblock
 	pageBits []uint64 // physical pages holding at least one block's code
@@ -160,16 +162,18 @@ func (sb *sbCache) pageMarked(page uint32) bool {
 func (c *CPU) EnableTranslation(on bool) {
 	if !on {
 		c.sb = nil
+		c.sbc = sbCache{}
 		return
 	}
 	if c.sb == nil {
 		pages := c.Mem.Pages()
-		c.sb = &sbCache{
+		c.sbc = sbCache{
 			blocks:    make([]sblock, sbSlots),
-			pageBits:  make([]uint64, (pages+63)/64),
+			pageBits:  pageBitmap(pages),
 			pageLim:   pages,
 			threshold: sbDefaultHeat,
 		}
+		c.sb = &c.sbc
 	}
 }
 
