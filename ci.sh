@@ -95,6 +95,9 @@ if [ "${1:-}" = "bench" ]; then
     if [ -n "$prev" ]; then
         echo "== bench diff vs $prev (E-series, >10% ns/op or allocs/op regression fails)"
         if awk -v prevfile="$prev" -v curfile="$out" '
+            # load strips the GOMAXPROCS suffix go test appends to every
+            # benchmark name on a multi-core host (-2, -8, ...), so files
+            # recorded on different core counts match by name.
             function load(file, tab,    line, name, key, val, n, i, parts) {
                 while ((getline line < file) > 0) {
                     if (line !~ /"name"/) continue
@@ -103,7 +106,7 @@ if [ "${1:-}" = "bench" ]; then
                     n = split(line, parts, " ")
                     for (i = 1; i < n; i++) {
                         key = parts[i]; val = parts[i+1]
-                        if (key == "name:") name = val
+                        if (key == "name:") { name = val; sub(/-[0-9]+$/, "", name) }
                         if (key == "ns_per_op:")     tab[name ":ns"] = val
                         if (key == "allocs_per_op:") tab[name ":allocs"] = val
                     }
@@ -320,6 +323,11 @@ go run ./cmd/experiments -clone -vms 256
 
 echo "== fleet-API soak smoke (200+ lifecycles over HTTP, leak gate)"
 ./ci.sh soak-smoke
+
+# The leak gate compares exact free-frame counts, so it must hold on
+# every schedule: repeat the in-process soak at one and two cores.
+echo "== soak leak gate at GOMAXPROCS 1 and 2 (20 runs each)"
+go test -cpu 1,2 -count=20 -run 'TestSoakSmoke$' ./internal/monitor
 
 echo "== fault-injection campaign (fixed seeds)"
 go run ./cmd/experiments -faults -seeds 8 -seedbase 1 > /dev/null

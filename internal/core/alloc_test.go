@@ -1,61 +1,35 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/vax"
 )
 
-// White-box tests for the decomposed page allocator: the root stays
-// exact (serial semantics, FreePages and OOM reporting unchanged),
-// worker shards batch — spans from the bump allocator, run batches
-// from the recycle pool — and everything a shard caches becomes
-// visible to the root again at the merge.
+// White-box tests for the frame allocator: allocation is exact on the
+// root and on worker shards alike, freed frames are reused at any run
+// size (split and merge), FreePages is an exact count, CarvedPages is a
+// monotone high-water mark, and a bookkeeping bug panics.
 
-// TestShardAllocSpanBatching: a shard's first small allocation carves
-// a whole span from the global bump allocator; subsequent allocations
-// are served from the span without touching shared state.
-func TestShardAllocSpanBatching(t *testing.T) {
-	k := New(16<<20, Config{})
-	s := k.newWorkerShard()
-	before := k.shared.nextPage
-	p1, err := s.allocPages(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := k.shared.nextPage - before; got != allocSpanPages {
-		t.Errorf("shard carved %d pages globally, want a %d-page span", got, allocSpanPages)
-	}
-	if s.alloc.spanLeft != allocSpanPages-2 {
-		t.Errorf("spanLeft = %d, want %d", s.alloc.spanLeft, allocSpanPages-2)
-	}
-	p2, err := s.allocPages(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2 != p1+2 {
-		t.Errorf("second allocation at %d, want span-contiguous %d", p2, p1+2)
-	}
-	if k.shared.nextPage != before+allocSpanPages {
-		t.Error("span-served allocation touched the global allocator")
-	}
-}
-
-// TestShardAllocSpanExhaustion: when the global free store is smaller
-// than a span, the shard falls back to the exact request; a request
-// larger than the free store is a precise out-of-memory error.
-func TestShardAllocSpanExhaustion(t *testing.T) {
+// TestShardAllocExactAndOutOfMemory: a shard takes exactly what it
+// asks for from the shared allocator, and a request larger than the
+// free store is a precise out-of-memory error on shard and root.
+func TestShardAllocExactAndOutOfMemory(t *testing.T) {
 	k := New(64*1024, Config{}) // 128 pages total, page 0 reserved
 	s := k.newWorkerShard()
 	if _, err := k.allocPages(100); err != nil {
 		t.Fatal(err)
 	}
-	before := k.shared.nextPage // 27 pages free, less than a span
+	before := k.CarvedPages()
 	if _, err := s.allocPages(4); err != nil {
 		t.Fatal(err)
 	}
-	if got := k.shared.nextPage - before; got != 4 {
-		t.Errorf("exhaustion fallback carved %d pages, want exactly 4", got)
+	if got := k.CarvedPages() - before; got != 4 {
+		t.Errorf("shard carved %d pages, want exactly 4", got)
+	}
+	if got := k.FreePages(); got != 128-1-100-4 {
+		t.Errorf("FreePages = %d, want %d", got, 128-1-100-4)
 	}
 	if _, err := s.allocPages(1000); err == nil {
 		t.Error("over-free-store allocation did not report out of memory")
@@ -63,100 +37,186 @@ func TestShardAllocSpanExhaustion(t *testing.T) {
 	if _, err := k.allocPages(1000); err == nil {
 		t.Error("root over-free-store allocation did not report out of memory")
 	}
+	if _, err := k.allocPages(23); err != nil {
+		t.Fatalf("allocating the last 23 pages: %v", err)
+	}
+	if _, err := s.allocRun(1); err == nil || !strings.Contains(err.Error(), "0 free") {
+		t.Errorf("allocation from a full memory = %v, want out of memory with 0 free", err)
+	}
 }
 
-// TestRootAllocStaysExact: the root takes exactly what is asked, never
-// grows a private cache (its allocation counts are part of the serial
-// benchmarks' alloc-parity contract), and its freed runs go straight
-// to the global pool where the next allocRun finds them.
+// TestRootAllocStaysExact: the root takes exactly what is asked, a
+// monitor that never frees places runs back to back like a bump
+// allocator, and a freed run is what the next allocRun of that size
+// finds, counted as a pool hit.
 func TestRootAllocStaysExact(t *testing.T) {
 	k := New(16<<20, Config{})
-	before := k.shared.nextPage
+	before := k.CarvedPages()
 	p, err := k.allocPages(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.shared.nextPage != before+3 {
-		t.Errorf("root carved %d pages, want exactly 3", k.shared.nextPage-before)
+	if p != before || k.CarvedPages() != before+3 {
+		t.Errorf("root got run %d, high-water %d; want run %d, high-water %d",
+			p, k.CarvedPages(), before, before+3)
 	}
-	if k.alloc.spanLeft != 0 || len(k.alloc.runs) != 0 {
-		t.Error("root grew a private allocator cache")
+	q, err := k.allocRun(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q != p+3 {
+		t.Errorf("second run at %d, want the next frame %d", q, p+3)
+	}
+	if k.Stats.ShadowPoolMisses != 1 || k.Stats.ShadowPoolHits != 0 {
+		t.Errorf("fresh run counted hits/misses %d/%d, want 0/1",
+			k.Stats.ShadowPoolHits, k.Stats.ShadowPoolMisses)
 	}
 	k.freeRun(p, 3)
-	if len(k.shared.pageRuns[3]) != 1 {
-		t.Fatalf("root freeRun kept the run local: global pool has %d runs of 3",
-			len(k.shared.pageRuns[3]))
-	}
-	hits := k.Stats.ShadowPoolHits
 	got, err := k.allocRun(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != p {
-		t.Errorf("allocRun returned %d, want recycled run %d", got, p)
+		t.Errorf("allocRun returned %d, want freed run %d", got, p)
 	}
-	if k.Stats.ShadowPoolHits != hits+1 {
-		t.Error("recycled run not counted as a pool hit")
-	}
-	if len(k.alloc.runs) != 0 {
-		t.Error("root allocRun grew a private cache")
+	if k.Stats.ShadowPoolHits != 1 {
+		t.Error("reused run not counted as a pool hit")
 	}
 }
 
-// TestShardRunCacheSpillAndRefill: an overfull shard run cache spills
-// half to the global pool; a different shard's allocRun then pulls a
-// batch under one lock; and spillAllocCache (the merge barrier's call)
-// makes every cached run visible to the root again.
-func TestShardRunCacheSpillAndRefill(t *testing.T) {
+// TestFreedRunSplitsIntoSmallerRuns: a freed 4-page run serves four
+// 1-page runs (the COW-break size) without carving fresh frames, and
+// FreePages returns to its value before the free. An allocator that
+// pools runs by exact size carves four new pages here.
+func TestFreedRunSplitsIntoSmallerRuns(t *testing.T) {
 	k := New(16<<20, Config{})
-	s := k.newWorkerShard()
-	var pages []uint32
-	for i := 0; i < runCacheMax+4; i++ {
-		p, err := k.allocPages(2)
+	p, err := k.allocRun(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	free, carved := k.FreePages(), k.CarvedPages()
+	k.freeRun(p, 4)
+	if got := k.FreePages(); got != free+4 {
+		t.Errorf("FreePages after freeing 4 = %d, want %d", got, free+4)
+	}
+	for i := uint32(0); i < 4; i++ {
+		f, err := k.allocRun(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pages = append(pages, p)
+		if f != p+i {
+			t.Errorf("1-page run %d at frame %d, want %d from the freed run", i, f, p+i)
+		}
 	}
-	for _, p := range pages {
-		s.freeRun(p, 2)
+	if got := k.CarvedPages(); got != carved {
+		t.Errorf("CarvedPages grew %d -> %d: freed frames were not reused", carved, got)
 	}
-	if n := len(s.alloc.runs[2]); n > runCacheMax {
-		t.Errorf("shard cache holds %d runs, bound is %d", n, runCacheMax)
-	}
-	if len(k.shared.pageRuns[2]) == 0 {
-		t.Error("overfull shard cache never spilled to the global pool")
-	}
-
-	s2 := k.newWorkerShard()
-	globalBefore := len(k.shared.pageRuns[2])
-	if _, err := s2.allocRun(2); err != nil {
-		t.Fatal(err)
-	}
-	wantTake := min(globalBefore, runRefillBatch)
-	if got := globalBefore - len(k.shared.pageRuns[2]); got != wantTake {
-		t.Errorf("shard refill took %d runs from the pool, want %d", got, wantTake)
-	}
-	if got := len(s2.alloc.runs[2]); got != wantTake-1 {
-		t.Errorf("shard stashed %d runs locally, want %d", got, wantTake-1)
-	}
-
-	cached := len(s.alloc.runs[2]) + len(s2.alloc.runs[2])
-	global := len(k.shared.pageRuns[2])
-	s.spillAllocCache()
-	s2.spillAllocCache()
-	if len(s.alloc.runs) != 0 || len(s2.alloc.runs) != 0 {
-		t.Error("spillAllocCache left runs in the shard caches")
-	}
-	if got := len(k.shared.pageRuns[2]); got != global+cached {
-		t.Errorf("global pool has %d runs after spill, want %d", got, global+cached)
+	if got := k.FreePages(); got != free {
+		t.Errorf("FreePages = %d, want %d (the value before the free)", got, free)
 	}
 }
 
+// TestFreedRunsMergeIntoLargerRun: two adjacent freed runs serve one
+// run of their combined size, and a run too large for any hole is
+// placed above them.
+func TestFreedRunsMergeIntoLargerRun(t *testing.T) {
+	k := New(16<<20, Config{})
+	a, _ := k.allocRun(2)
+	b, _ := k.allocRun(2)
+	if _, err := k.allocRun(1); err != nil { // fence above the hole
+		t.Fatal(err)
+	}
+	carved := k.CarvedPages()
+	k.freeRun(b, 2)
+	k.freeRun(a, 2)
+	big, err := k.allocRun(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if big != carved {
+		t.Errorf("5-page run at %d, want %d above the 4-page hole", big, carved)
+	}
+	got, err := k.allocRun(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != a {
+		t.Errorf("4-page run at %d, want the merged hole at %d", got, a)
+	}
+}
+
+// TestFrameAllocWordBoundaries drives the bitmap directly across
+// 64-frame word boundaries and the padding past a memory size that is
+// not a multiple of 64.
+func TestFrameAllocWordBoundaries(t *testing.T) {
+	a := newFrameAlloc(200)
+	if p, _, _ := a.alloc(60); p != 0 {
+		t.Fatalf("first run at %d", p)
+	}
+	if p, _, _ := a.alloc(10); p != 60 { // straddles words 0 and 1
+		t.Fatalf("straddling run at %d, want 60", p)
+	}
+	if p, _, _ := a.alloc(130); p != 70 { // frames 70..199, the last one
+		t.Fatalf("tail run at %d, want 70", p)
+	}
+	if a.free != 0 || a.high != 200 {
+		t.Fatalf("free %d high %d, want 0 and 200", a.free, a.high)
+	}
+	if _, _, ok := a.alloc(1); ok {
+		t.Fatal("allocated a padding frame past memory")
+	}
+	a.release(0, 2)
+	a.release(62, 66) // 62..127: rest of word 0 plus all of word 1
+	a.release(190, 10)
+	if p, grew, _ := a.alloc(66); p != 62 || grew {
+		t.Errorf("66-page run at %d (grew %v), want 62 past the 2-frame hole", p, grew)
+	}
+	if p, _, ok := a.alloc(11); ok { // 12 frames free, none 11 in a row
+		t.Errorf("11-page run at %d from holes of 2 and 10 frames", p)
+	}
+	if p, _, _ := a.alloc(10); p != 190 {
+		t.Errorf("10-page run at %d, want 190", p)
+	}
+	if p, _, _ := a.alloc(2); p != 0 {
+		t.Errorf("2-page run at %d, want 0", p)
+	}
+	if a.free != 0 || a.high != 200 {
+		t.Errorf("free %d high %d, want 0 and 200", a.free, a.high)
+	}
+}
+
+// TestFreeInvalidFramePanics: freeing a frame twice, or a frame outside
+// memory, is a bookkeeping bug and must panic, not hand a frame to two
+// owners.
+func TestFreeInvalidFramePanics(t *testing.T) {
+	mustPanic := func(name, want string, f func()) {
+		t.Helper()
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Errorf("%s did not panic", name)
+			} else if msg, _ := r.(string); !strings.Contains(msg, want) {
+				t.Errorf("%s panicked with %v, want %q", name, r, want)
+			}
+		}()
+		f()
+	}
+	k := New(64*1024, Config{}) // 128 pages
+	p, err := k.allocRun(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.freeRun(p, 2)
+	mustPanic("double free", "freed twice", func() { k.freeRun(p, 1) })
+	mustPanic("free of a never-allocated frame", "freed twice", func() { k.freeRun(100, 1) })
+	mustPanic("free past memory", "outside", func() { k.freeRun(127, 2) })
+	mustPanic("free far outside memory", "outside", func() { k.freeRun(1<<31, 1) })
+}
+
 // TestHaltedVMRunsRecycledAfterParallelRun: shadow-table runs released
-// by VMs halting on worker shards must reach the global pool by the
-// merge barrier, so the root's next CreateVM recycles them instead of
-// growing physical memory.
+// by VMs halting on worker shards must be free by the merge barrier,
+// so the root's next CreateVM reuses them instead of growing physical
+// memory.
 func TestHaltedVMRunsRecycledAfterParallelRun(t *testing.T) {
 	k := New(16<<20, Config{Workers: 2, WaitTimeout: 2})
 	var vms []*VM
@@ -170,7 +230,7 @@ func TestHaltedVMRunsRecycledAfterParallelRun(t *testing.T) {
 	}
 
 	hits := k.Stats.ShadowPoolHits
-	pagesBefore := k.shared.nextPage
+	pagesBefore := k.CarvedPages()
 	vm, err := k.CreateVM(VMConfig{
 		Name: "recycled", MemBytes: gMemSize,
 		PreMapped: true, SBR: gSPT, SLR: gSPTLen, SCBB: gSCB,
@@ -182,12 +242,35 @@ func TestHaltedVMRunsRecycledAfterParallelRun(t *testing.T) {
 		t.Error("new VM recycled none of the halted VMs' shadow runs")
 	}
 	// The new VM's RAM is fresh, but its shadow tables should all come
-	// from recycled runs: the bump allocator must only have grown by
-	// the RAM extent.
+	// from freed runs: the high-water mark must only have grown by the
+	// RAM extent.
 	ramPages := uint32(gMemSize) / vax.PageSize
-	if got := k.shared.nextPage - pagesBefore; got != ramPages {
-		t.Errorf("CreateVM grew the bump allocator by %d pages, want %d (RAM only)",
+	if got := k.CarvedPages() - pagesBefore; got != ramPages {
+		t.Errorf("CreateVM grew the high-water mark by %d pages, want %d (RAM only)",
 			got, ramPages)
 	}
 	_ = vm
+}
+
+// TestCreateVMFailureFreesFrames: a CreateVM that fails after taking
+// frames — shadow tables that do not fit, an image that does not fit —
+// gives every frame back, so FreePages stays exact.
+func TestCreateVMFailureFreesFrames(t *testing.T) {
+	k := New((1+128+40)*vax.PageSize, Config{}) // RAM fits, shadow space does not
+	free := k.FreePages()
+	if _, err := k.CreateVM(VMConfig{MemBytes: gMemSize}); err == nil {
+		t.Fatal("CreateVM without room for its shadow tables succeeded")
+	}
+	if got := k.FreePages(); got != free {
+		t.Errorf("FreePages = %d after failed CreateVM, want %d", got, free)
+	}
+
+	k = New(16<<20, Config{})
+	free = k.FreePages()
+	if _, err := k.CreateVM(VMConfig{MemBytes: gMemSize, Image: make([]byte, gMemSize+1)}); err == nil {
+		t.Fatal("CreateVM with an oversized image succeeded")
+	}
+	if got := k.FreePages(); got != free {
+		t.Errorf("FreePages = %d after failed CreateVM, want %d", got, free)
+	}
 }

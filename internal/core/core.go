@@ -236,9 +236,9 @@ type Stats struct {
 	ClockTicks     uint64
 	ReflectedTraps uint64 // exceptions forwarded into a VM
 
-	// Shadow page-table frame pool traffic: runs recycled from a
-	// halted VM's tables versus runs carved fresh from the bump
-	// allocator (which never reclaims on its own).
+	// Shadow page-table and COW-break frame traffic: runs that reused
+	// frames freed earlier (a halted VM's tables, a destroyed VM's
+	// memory) versus runs that grew the allocator's high-water mark.
 	ShadowPoolHits   uint64
 	ShadowPoolMisses uint64
 }
@@ -246,21 +246,15 @@ type Stats struct {
 // vmmShared is the state genuinely shared between a root VMM and the
 // per-worker shards of a parallel run. Everything else a VMM holds is
 // goroutine-confined: either per-VM (shadow tables, statistics, cycle
-// accounting), per-worker (CPU, MMU, TLB, decode cache, the allocator
-// cache below) or owned by whichever engine is running. The global
-// page pool sits behind a mutex because workers reach it only to
-// refill or spill their local caches in batches; nothing touches it
-// per step. Audit ordering needs no shared counter at all: shard
-// events carry cycle stamps and are sequenced at the merge (audit.go).
+// accounting), per-worker (CPU, MMU, TLB, decode cache) or owned by
+// whichever engine is running. The frame allocator sits behind a mutex:
+// workers reach it only on slow paths (a shadow space built or
+// released, a COW break), never per step. Audit ordering needs no
+// shared counter at all: shard events carry cycle stamps and are
+// sequenced at the merge (audit.go).
 type vmmShared struct {
-	mu       sync.Mutex // guards nextPage and pageRuns (cold paths)
-	nextPage uint32     // physical page bump allocator
-
-	// pageRuns is the free list of recycled page runs, keyed by run
-	// length in pages: the bump allocator never reclaims, so the runs
-	// backing a halted VM's shadow tables are parked here and reused
-	// by the next newShadowSpace of the same geometry.
-	pageRuns map[uint32][]uint32
+	mu     sync.Mutex // guards frames (cold paths)
+	frames frameAlloc // every physical page frame the monitor hands out
 
 	// refs is the per-frame reference-count table behind COW cloning,
 	// nil until the first Clone (machines that never clone pay nothing).
@@ -269,34 +263,6 @@ type vmmShared struct {
 	// start orders the store before any shard load. The counters inside
 	// are atomics (see mem.PageRefs).
 	refs *mem.PageRefs
-}
-
-// Per-worker allocator cache tuning. Spans and run batches are small:
-// a worker shard allocates only on slow paths (a VM halting on it, a
-// shadow space growing), so the cache exists to keep those paths off
-// the global mutex, not to hoard memory.
-const (
-	// allocSpanPages is how many pages a worker shard carves from the
-	// global bump allocator per refill; the remainder becomes its
-	// private span served without locking.
-	allocSpanPages = 64
-	// runRefillBatch is how many recycled runs of one size a worker
-	// pulls from the global pool under a single lock acquisition.
-	runRefillBatch = 4
-	// runCacheMax bounds the recycled runs of one size a worker keeps
-	// before spilling half back to the global pool.
-	runCacheMax = 8
-)
-
-// allocCache is a VMM instance's private allocator front. On the root
-// it stays empty (the root allocates exactly and is single-threaded at
-// allocation sites, keeping FreePages and out-of-memory semantics
-// precise); on a worker shard it absorbs freeRun/allocRun traffic so
-// steady-state halts and shadow growth never contend on vmmShared.mu.
-type allocCache struct {
-	spanPage uint32 // next free page of the private span
-	spanLeft uint32 // pages remaining in the span
-	runs     map[uint32][]uint32
 }
 
 // VMM is the virtual machine monitor.
@@ -322,8 +288,7 @@ type VMM struct {
 	nextID int
 
 	shared *vmmShared
-	parent *VMM       // non-nil on a per-worker shard of a parallel run
-	alloc  allocCache // this instance's private allocator front
+	parent *VMM // non-nil on a per-worker shard of a parallel run
 
 	// workerShards is the root's pool of per-worker shard VMMs, built
 	// lazily by RunParallel and reused across runs so repeated parallel
@@ -381,15 +346,15 @@ func New(memBytes uint32, cfg Config, opts ...Option) *VMM {
 	}
 	c := cpu.New(m, cpu.ModifiedVAX)
 	k := &VMM{
-		CPU: c,
-		Mem: m,
-		cfg: cfg.withDefaults(),
-		cur: -1,
-		rec: cfg.Recorder,
-		// page 0 reserved for the (unused) real SCB
-		shared: &vmmShared{nextPage: 1, pageRuns: make(map[uint32][]uint32)},
+		CPU:    c,
+		Mem:    m,
+		cfg:    cfg.withDefaults(),
+		cur:    -1,
+		rec:    cfg.Recorder,
+		shared: &vmmShared{frames: newFrameAlloc(m.Pages())},
 		ioBuf:  make([]byte, vax.PageSize),
 	}
+	k.shared.frames.alloc(1) // page 0 reserved for the (unused) real SCB
 	k.Clock = &k.clock
 	c.Sink = k
 	c.AddDevice(k.Clock)
@@ -448,186 +413,70 @@ func (k *VMM) Current() *VM {
 	return k.vms[k.cur]
 }
 
-// allocPages carves n contiguous physical pages out of real memory.
-// The root allocates exactly (FreePages and out-of-memory reporting
-// stay precise for the serial harness); a worker shard over-allocates
-// a span and serves subsequent requests from it without locking.
+// allocPages allocates n contiguous physical page frames, zeroed.
 func (k *VMM) allocPages(n uint32) (uint32, error) {
-	p, err := k.allocPagesRaw(n)
+	p, _, err := k.takeFrames(n)
 	if err != nil {
 		return 0, err
 	}
-	return p, k.zeroPages(p, n)
+	return p, k.Mem.ZeroRun(p, n)
 }
 
-// allocPagesRaw carves page frames without zeroing them. Callers that
-// fully initialize the run (shadow-table construction, COW page
-// copies) skip the memclr; everything else goes through allocPages.
-func (k *VMM) allocPagesRaw(n uint32) (uint32, error) {
-	if k.alloc.spanLeft >= n && n > 0 {
-		p := k.alloc.spanPage
-		k.alloc.spanPage += n
-		k.alloc.spanLeft -= n
-		return p, nil
+// allocRun allocates n contiguous page frames with stale contents —
+// frames freed earlier carry their previous owner's bytes and fresh
+// ones skip the memclr — so every caller must initialize the run
+// (clear-on-reuse restores the null-PTE default; COW breaks copy a
+// whole page over it). It counts a shadow-pool hit when the run reused
+// freed frames and a miss when it grew the high-water mark.
+func (k *VMM) allocRun(n uint32) (uint32, error) {
+	p, grew, err := k.takeFrames(n)
+	if err != nil {
+		return 0, err
 	}
-	want := n
-	if k.parent != nil && want < allocSpanPages {
-		want = allocSpanPages
-	}
-	k.shared.mu.Lock()
-	free := k.Mem.Pages() - k.shared.nextPage
-	if want > free {
-		want = n // batch does not fit; fall back to the exact request
-	}
-	if n > free {
-		k.shared.mu.Unlock()
-		return 0, fmt.Errorf("vmm: out of physical memory (%d pages requested, %d free)",
-			n, free)
-	}
-	p := k.shared.nextPage
-	k.shared.nextPage += want
-	k.shared.mu.Unlock()
-	if want > n {
-		// Park any old span remainder as a recycled run, then adopt the
-		// new span's tail as the private span.
-		if k.alloc.spanLeft > 0 {
-			k.freeRun(k.alloc.spanPage, k.alloc.spanLeft)
-		}
-		k.alloc.spanPage = p + n
-		k.alloc.spanLeft = want - n
+	if grew {
+		k.Stats.ShadowPoolMisses++
+	} else {
+		k.Stats.ShadowPoolHits++
 	}
 	return p, nil
 }
 
-// zeroPages clears n page frames starting at p (allocPages' contract:
-// carved pages come back zero regardless of their provenance).
-func (k *VMM) zeroPages(p, n uint32) error {
-	return k.Mem.ZeroRun(p, n)
-}
-
-// allocRun allocates a run of n pages for shadow-table storage,
-// preferring recycled runs over the bump allocator — first from this
-// instance's private cache, then from the global pool (a worker shard
-// pulls a small batch under one lock so repeated allocations stay
-// local). Runs are handed back with stale contents — pooled runs carry
-// the previous owner's PTEs and carved runs skip the memclr — so every
-// caller must initialize the run (clear-on-reuse restores the null-PTE
-// default; COW breaks copy a whole page over it).
-func (k *VMM) allocRun(n uint32) (uint32, error) {
-	if local := k.alloc.runs[n]; len(local) > 0 {
-		p := local[len(local)-1]
-		k.alloc.runs[n] = local[:len(local)-1]
-		k.Stats.ShadowPoolHits++
-		return p, nil
-	}
-	k.shared.mu.Lock()
-	if runs := k.shared.pageRuns[n]; len(runs) > 0 {
-		take := 1
-		if k.parent != nil && len(runs) > 1 {
-			take = min(len(runs), runRefillBatch)
-		}
-		grabbed := runs[len(runs)-take:]
-		k.shared.pageRuns[n] = runs[:len(runs)-take]
-		k.shared.mu.Unlock()
-		p := grabbed[len(grabbed)-1]
-		if take > 1 {
-			if k.alloc.runs == nil {
-				k.alloc.runs = make(map[uint32][]uint32)
-			}
-			k.alloc.runs[n] = append(k.alloc.runs[n], grabbed[:len(grabbed)-1]...)
-		}
-		k.Stats.ShadowPoolHits++
-		return p, nil
-	}
-	k.shared.mu.Unlock()
-	k.Stats.ShadowPoolMisses++
-	return k.allocPagesRaw(n)
-}
-
-// takeRun takes a recycled run of exactly n pages if one is pooled,
-// without touching the shadow-pool statistics — it backs CreateVM's
-// reuse of destroyed-VM memory, and the pool is empty on monitors that
-// never destroy, so the counters (and allocation behavior) of every
-// existing harness stay byte-identical. The run comes back with stale
-// contents; the caller zeroes it and drops cached decodes.
-func (k *VMM) takeRun(n uint32) (uint32, bool) {
-	if local := k.alloc.runs[n]; len(local) > 0 {
-		p := local[len(local)-1]
-		k.alloc.runs[n] = local[:len(local)-1]
-		return p, true
-	}
+// takeFrames takes the lowest run of n free frames from the shared
+// allocator; grew reports whether it raised the high-water mark.
+func (k *VMM) takeFrames(n uint32) (p uint32, grew bool, err error) {
 	k.shared.mu.Lock()
 	defer k.shared.mu.Unlock()
-	if runs := k.shared.pageRuns[n]; len(runs) > 0 {
-		p := runs[len(runs)-1]
-		k.shared.pageRuns[n] = runs[:len(runs)-1]
-		return p, true
+	p, grew, ok := k.shared.frames.alloc(n)
+	if !ok {
+		return 0, false, fmt.Errorf("vmm: out of physical memory (%d pages requested, %d free)",
+			n, k.shared.frames.free)
 	}
-	return 0, false
+	return p, grew, nil
 }
 
-// freeRun parks a page run for recycling. The root goes straight to
-// the global pool (its freeing sites are single-threaded); a worker
-// shard keeps the run in its private cache — the common halt-on-shard
-// path then costs no lock at all — and spills half of an overfull size
-// class back to the global pool so no worker hoards the free store.
+// freeRun returns n page frames starting at page to the allocator.
 func (k *VMM) freeRun(page, n uint32) {
 	if n == 0 {
 		return
 	}
-	if k.parent == nil {
-		k.shared.mu.Lock()
-		k.shared.pageRuns[n] = append(k.shared.pageRuns[n], page)
-		k.shared.mu.Unlock()
-		return
-	}
-	if k.alloc.runs == nil {
-		k.alloc.runs = make(map[uint32][]uint32)
-	}
-	local := append(k.alloc.runs[n], page)
-	if len(local) > runCacheMax {
-		spill := len(local) / 2
-		k.shared.mu.Lock()
-		k.shared.pageRuns[n] = append(k.shared.pageRuns[n], local[:spill]...)
-		k.shared.mu.Unlock()
-		local = append(local[:0], local[spill:]...)
-	}
-	k.alloc.runs[n] = local
-}
-
-// spillAllocCache returns a worker shard's cached runs to the global
-// pool. Called at the merge barrier so runs released by VMs that
-// halted on this shard (and any span remainder's reuse value) become
-// visible to the root's next CreateVM. The span itself stays with the
-// shard — shards are reused across runs and keep their working set.
-func (k *VMM) spillAllocCache() {
-	if len(k.alloc.runs) == 0 {
-		return
-	}
 	k.shared.mu.Lock()
-	for n, runs := range k.alloc.runs {
-		if len(runs) > 0 {
-			k.shared.pageRuns[n] = append(k.shared.pageRuns[n], runs...)
-		}
-		delete(k.alloc.runs, n)
-	}
-	k.shared.mu.Unlock()
+	defer k.shared.mu.Unlock()
+	k.shared.frames.release(page, n)
 }
 
 // Release returns the monitor's physical memory to the backing-store
-// pool (mem.Release), zeroing only the extent the bump allocator ever
-// handed out — everything the VMM or its VMs wrote lands in carved
-// pages (or page 0), so the rest of the buffer is still zero. The
-// monitor must not be used afterwards: every memory access fails as a
-// bus error. Harness code calls this after reading a finished
+// pool (mem.Release), zeroing only the extent below the allocator's
+// high-water mark — everything the VMM or its VMs wrote lands in a
+// frame that was handed out at some point (or page 0), and every such
+// frame lies below the mark, so the rest of the buffer is still zero.
+// The monitor must not be used afterwards: every memory access fails
+// as a bus error. Harness code calls this after reading a finished
 // machine's statistics so the next machine reuses the 16 MB buffer.
 func (k *VMM) Release() {
 	if k.parent != nil {
 		return
 	}
-	k.shared.mu.Lock()
-	dirty := k.shared.nextPage * vax.PageSize
-	k.shared.mu.Unlock()
+	dirty := k.CarvedPages() * vax.PageSize
 	if k.cfg.MemCache != nil {
 		k.cfg.MemCache.Release(k.Mem, dirty)
 		return
@@ -635,21 +484,22 @@ func (k *VMM) Release() {
 	k.Mem.Release(dirty)
 }
 
-// FreePages reports how many physical pages remain unallocated.
+// FreePages reports exactly how many physical page frames are free.
 func (k *VMM) FreePages() uint32 {
 	k.shared.mu.Lock()
 	defer k.shared.mu.Unlock()
-	return k.Mem.Pages() - k.shared.nextPage
+	return k.shared.frames.free
 }
 
-// CarvedPages reports the bump allocator's high-water mark: the real
-// page frames ever handed out (the allocator never reclaims, so this is
-// also the monitor's resident footprint in pages). With COW cloning it
-// can sit far below NominalPages — that gap is the overcommit.
+// CarvedPages reports the allocator's high-water mark: one past the
+// highest page frame ever handed out. It never goes down, even when
+// frames below it are freed, so it bounds both the monitor's resident
+// footprint and the extent Release must zero. With COW cloning it can
+// sit far below NominalPages — that gap is the overcommit.
 func (k *VMM) CarvedPages() uint32 {
 	k.shared.mu.Lock()
 	defer k.shared.mu.Unlock()
-	return k.shared.nextPage
+	return k.shared.frames.high
 }
 
 // NominalPages sums every VM's configured memory in pages — what the

@@ -6,14 +6,13 @@ import (
 	"repro/internal/vax"
 )
 
-// DestroyVM unregisters a halted VM and recycles its physical pages,
-// the missing half of the VM lifecycle: haltVM already parks shadow-
-// table runs for reuse, but the VM's memory stayed carved forever. The
+// DestroyVM unregisters a halted VM and frees its physical pages, the
+// missing half of the VM lifecycle: haltVM already frees the shadow-
+// table runs, but the VM's memory stays allocated until here. The
 // fleet control plane churns through thousands of create/halt cycles,
-// so destroyed memory goes back to the run pool — a contiguous VM as
-// one run of its full geometry (the next CreateVM of the same size
-// reuses it), a frames-backed VM page by page as the COW refcounts
-// reach zero (the same 1-page size class cowBreak allocates from).
+// so destroyed memory goes back to the frame allocator — a contiguous
+// VM as one run, a frames-backed VM page by page as the COW refcounts
+// reach zero — where any later allocation of any size can reuse it.
 //
 // Call on the root monitor while no run is in flight. The VM must be
 // halted first (HaltVM); a destroyed VM is gone from VMs() and its

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/vax"
 )
 
 func TestDestroyRequiresHalted(t *testing.T) {
@@ -23,16 +25,16 @@ func TestDestroyRequiresHalted(t *testing.T) {
 	}
 }
 
-// TestDestroyRecyclesContiguousRun pins the takeRun/freeRun pairing: a
-// destroyed full-geometry VM's pages satisfy the next same-geometry
-// CreateVM without carving fresh memory.
+// TestDestroyRecyclesContiguousRun: a destroyed VM's frames satisfy
+// the next same-geometry CreateVM without raising the high-water mark,
+// and FreePages falls by exactly the frames the new VM owns.
 func TestDestroyRecyclesContiguousRun(t *testing.T) {
 	k, vm, _ := bootVM(t, Config{}, cloneComputeSrc, nil)
 	runVM(t, k, vm, 10_000_000)
 	if err := k.DestroyVM(vm); err != nil {
 		t.Fatal(err)
 	}
-	free := k.FreePages()
+	free, carved := k.FreePages(), k.CarvedPages()
 
 	img, prog := guestImage(t, cloneComputeSrc, nil)
 	vm2, err := k.CreateVM(VMConfig{
@@ -42,8 +44,15 @@ func TestDestroyRecyclesContiguousRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := k.FreePages(); got != free {
-		t.Fatalf("free pages %d after recycled create, want %d (carved fresh)", got, free)
+	if got := k.CarvedPages(); got != carved {
+		t.Fatalf("high-water mark %d after recycled create, want %d (carved fresh)", got, carved)
+	}
+	owned := vm2.MemSize / vax.PageSize
+	for _, r := range vm2.shadow.runs {
+		owned += r[1]
+	}
+	if got := k.FreePages(); got != free-owned {
+		t.Fatalf("free pages %d after recycled create, want %d - %d owned", got, free, owned)
 	}
 	// The recycled VM must start from zeroed, decode-invalidated pages:
 	// it runs to the same halt as its predecessor.

@@ -19,14 +19,14 @@ import (
 // many host cores instead, with M:N scheduling: a fixed pool of M
 // worker goroutines, each owning a *shard* — a private VMM instance
 // with its own virtual processor (CPU, MMU, TLB, decoded-instruction
-// cache), interval clock, I/O scratch buffer, statistics and allocator
-// cache — pulls N runnable VMs from a work queue. Physical memory and
-// the global page pool stay shared behind vmmShared, but nothing
-// touches them per step: workers refill and spill their allocator
-// caches in batches, and audit events carry cycle stamps instead of
-// taking a shared sequence. Because every VM occupies a disjoint range
-// of physical memory (its RAM and its shadow-table pages are both
-// carved out at CreateVM time), shards never write each other's bytes,
+// cache), interval clock, I/O scratch buffer and statistics — pulls N
+// runnable VMs from a work queue. Physical memory and the frame
+// allocator stay shared behind vmmShared, but nothing touches the
+// allocator per step: workers take its mutex only on slow paths (a
+// shadow space built or freed, a COW break), and audit events carry
+// cycle stamps instead of taking a shared sequence. Because every VM
+// occupies frames no other VM is given (its RAM, its shadow tables and
+// its private COW pages), shards never write each other's bytes,
 // and all of the serial emulation machinery runs on a shard unchanged.
 //
 // A VM is dispatched onto whichever worker dequeues it. Dispatching is
@@ -291,7 +291,7 @@ func newWorker(id int, s *VMM) *worker {
 }
 
 // newWorkerShard builds a per-worker monitor. It mirrors New, but over
-// the shared physical memory and global page pool, with a one-slot VM
+// the shared physical memory and frame allocator, with a one-slot VM
 // table that attach fills per dispatch. Shards live on the root's
 // workerShards pool and are reused across runs.
 func (k *VMM) newWorkerShard() *VMM {
@@ -352,8 +352,7 @@ func (k *VMM) resetShard(s *VMM) {
 // mergeShard folds a finished shard's statistics back into the root.
 // Monotonic machine-wide clocks (cycles, ticks) take the furthest
 // shard; event counters sum (resetShard zeroed them, so these are this
-// run's deltas); cached free runs spill to the global pool so the
-// root's next CreateVM can recycle what halted VMs released here.
+// run's deltas).
 func (k *VMM) mergeShard(s *VMM) {
 	k.Stats.VMMEntries += s.Stats.VMMEntries
 	k.Stats.WorldSwitches += s.Stats.WorldSwitches
@@ -368,7 +367,6 @@ func (k *VMM) mergeShard(s *VMM) {
 		k.CPU.Cycles = s.CPU.Cycles
 	}
 	k.vmmCycles += s.vmmCycles
-	s.spillAllocCache()
 }
 
 // attach dispatches a VM onto a worker's shard. The previous owner

@@ -10,7 +10,7 @@ type Quota struct {
 	MaxVMs int
 	// MaxPages bounds NominalPages: the sum of every VM's configured
 	// memory in pages, whether COW-shared or not. Halted VMs count
-	// until destroyed — their pages are still carved.
+	// until destroyed — their pages are still allocated.
 	MaxPages uint32
 }
 

@@ -43,15 +43,21 @@ type shadowSpace struct {
 	identPTEs          uint32
 
 	// runs records every page run backing these tables {page, pages},
-	// so releaseRuns can park them in the shared pool when the VM
-	// halts; released guards double release.
+	// so releaseRuns can free them when the VM halts; released guards
+	// double release.
 	runs     [][2]uint32
 	released bool
 }
 
-// newShadowSpace allocates and wires a VM's shadow tables.
-func (k *VMM) newShadowSpace(vm *VM) (*shadowSpace, error) {
+// newShadowSpace allocates and wires a VM's shadow tables. On failure
+// the runs already taken go back to the allocator.
+func (k *VMM) newShadowSpace(vm *VM) (_ *shadowSpace, err error) {
 	s := &shadowSpace{vm: vm, active: 0}
+	defer func() {
+		if err != nil {
+			s.releaseRuns(k)
+		}
+	}()
 	slots := k.cfg.ShadowCacheSlots
 
 	vmPages := vm.MemSize / vax.PageSize
@@ -69,9 +75,9 @@ func (k *VMM) newShadowSpace(vm *VM) (*shadowSpace, error) {
 	s.runs = append(s.runs, [2]uint32{sptPage, sptPages})
 	s.sptPhys = sptPage * vax.PageSize
 
-	// Null-initialize the whole SPT run (clear-on-reuse: a pooled run
-	// carries the previous owner's PTEs). The private-region PTEs are
-	// written over the tail below.
+	// Null-initialize the whole SPT run (clear-on-reuse: a run of freed
+	// frames carries the previous owner's PTEs). The private-region
+	// PTEs are written over the tail below.
 	if err := k.Mem.FillLong(s.sptPhys, sptPages*vax.PageSize/4, uint32(nullPTE)); err != nil {
 		return nil, err
 	}
@@ -176,8 +182,8 @@ func (s *shadowSpace) clearSRegion(k *VMM) error {
 	return nil
 }
 
-// releaseRuns parks every page run backing these tables in the shared
-// pool. Called when the VM halts for good; idempotent.
+// releaseRuns frees every page run backing these tables. Called when
+// the VM halts for good; idempotent.
 func (s *shadowSpace) releaseRuns(k *VMM) {
 	if s.released {
 		return

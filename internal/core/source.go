@@ -25,8 +25,10 @@ func (k *VMM) Counters(emit func(name string, v uint64)) {
 	emit("deliveries", s.ReflectedTraps)
 	emit("shadow_pool_hits", s.ShadowPoolHits)
 	emit("shadow_pool_miss", s.ShadowPoolMisses)
-	// Overcommit accounting: real pages ever carved (resident high
-	// water) against the fleet's nominal footprint.
+	// Page accounting: frames free right now (exact), the allocator's
+	// high-water mark (resident high water) and the fleet's nominal
+	// footprint, whose gap to carved_pages is the overcommit.
+	emit("free_pages", uint64(k.FreePages()))
 	emit("carved_pages", uint64(k.CarvedPages()))
 	emit("nominal_pages", uint64(k.NominalPages()))
 }

@@ -190,7 +190,7 @@ func (k *VMM) tryRecover(vm *VM) bool {
 }
 
 // escalate gives up on a VM: the halt becomes permanent and the shadow
-// frames — kept across the recoverable halt — go back to the pool.
+// frames — kept across the recoverable halt — are freed.
 func (k *VMM) escalate(vm *VM, why string) {
 	vm.Stats.RecoveryEscalations++
 	k.record(vm, AuditRecoveryEscalated, why)

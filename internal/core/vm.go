@@ -257,22 +257,15 @@ func (k *VMM) CreateVM(cfg VMConfig) (*VM, error) {
 	if err := k.checkQuota(pages); err != nil {
 		return nil, err
 	}
-	// Prefer a recycled run of this exact geometry (DestroyVM parks
-	// them) over carving fresh pages; recycled runs carry the previous
-	// owner's bytes and possibly cached decodes, so restore the
-	// allocPages contract by hand.
-	base, recycled := k.takeRun(pages)
-	if recycled {
-		k.CPU.InvalidateDecode(base*vax.PageSize, pages*vax.PageSize)
-		if err := k.zeroPages(base, pages); err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		if base, err = k.allocPages(pages); err != nil {
-			return nil, err
-		}
+	// The frames may have belonged to a destroyed VM or a released
+	// shadow space, so besides zeroing them drop any decodes cached
+	// from their previous contents (this also covers the image load
+	// below).
+	base, err := k.allocPages(pages)
+	if err != nil {
+		return nil, err
 	}
+	k.CPU.InvalidateDecode(base*vax.PageSize, pages*vax.PageSize)
 	vm := &VM{
 		ID:      k.nextID,
 		name:    cfg.Name,
@@ -287,18 +280,20 @@ func (k *VMM) CreateVM(cfg VMConfig) (*VM, error) {
 	if k.rec != nil {
 		vm.rec = k.rec.VM(vm.ID, vm.name)
 	}
-	shadow, err := k.newShadowSpace(vm)
-	if err != nil {
+	if vm.shadow, err = k.newShadowSpace(vm); err != nil {
+		k.freeRun(base, pages)
 		return nil, err
 	}
-	vm.shadow = shadow
 	if len(cfg.Image) > 0 {
 		host, ok := vm.hostAddr(cfg.LoadAt, uint32(len(cfg.Image)))
 		if !ok {
-			return nil, fmt.Errorf("vmm: image does not fit in VM memory")
+			err = fmt.Errorf("vmm: image does not fit in VM memory")
+		} else {
+			err = k.Mem.StoreBytes(host, cfg.Image)
 		}
-		k.CPU.InvalidateDecode(host, uint32(len(cfg.Image)))
-		if err := k.Mem.StoreBytes(host, cfg.Image); err != nil {
+		if err != nil {
+			vm.shadow.releaseRuns(k)
+			k.freeRun(base, pages)
 			return nil, err
 		}
 	}
@@ -722,11 +717,10 @@ func (k *VMM) haltVMCause(vm *VM, msg string, cause haltCause) {
 		k.scheduleNext()
 		return
 	}
-	// A halted VM never resumes: its shadow-table frames are dead, and
-	// the bump allocator cannot reclaim them on its own. Park the runs
-	// in the shared pool so the next VM's shadow space recycles them
-	// (the self-check and snapshot paths both skip halted VMs). A clone
-	// halted before its first dispatch has no tables yet.
+	// A halted VM never resumes: its shadow-table frames are dead, so
+	// free them now rather than at DestroyVM (the self-check and
+	// snapshot paths both skip halted VMs). A clone halted before its
+	// first dispatch has no tables yet.
 	if vm.shadow != nil {
 		vm.shadow.releaseRuns(k)
 	}

@@ -587,8 +587,8 @@ func (m *Monitor) stat() string {
 	ks := m.VMM.Stats
 	out += fmt.Sprintf("shadow-pool %d/%d hit/miss\n", ks.ShadowPoolHits, ks.ShadowPoolMisses)
 	if nominal := m.VMM.NominalPages(); nominal > 0 {
-		out += fmt.Sprintf("pages: carved %d  nominal %d  backing %d\n",
-			m.VMM.CarvedPages(), nominal, m.VMM.Mem.Pages())
+		out += fmt.Sprintf("pages: free %d  carved %d  nominal %d  backing %d\n",
+			m.VMM.FreePages(), m.VMM.CarvedPages(), nominal, m.VMM.Mem.Pages())
 	}
 	for _, vm := range m.VMM.VMs() {
 		vs := vm.Stats

@@ -20,8 +20,8 @@ import (
 // in-process HTTP server, exercising the whole stack — client, mux,
 // registry dispatch, fleet manager, monitor, page recycling — exactly
 // as an external operator would. It reports latency histograms and
-// verifies the fleet leaks neither VMs nor pages: after the run, every
-// carved page is back in the free pool at the warm-up baseline.
+// verifies the fleet leaks neither VMs nor pages: after the run, the
+// exact free-frame count is back at the warm-up baseline.
 
 // SoakOptions tunes a soak run.
 type SoakOptions struct {
@@ -228,8 +228,8 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 
 	// epoch runs the full lifecycle load once: Clients concurrent API
 	// consumers splitting Lifecycles cycles, every fourth with a
-	// snapshot-restore leg to keep the contiguous-geometry recycling
-	// path hot.
+	// snapshot-restore leg, so contiguous VMs are created and destroyed
+	// among the clones' scattered frames.
 	epoch := func() []*soakClient {
 		clients := make([]*soakClient, opts.Clients)
 		var wg sync.WaitGroup
@@ -258,36 +258,13 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 		return clients
 	}
 
-	// Two identical epochs. The first reaches steady state: the bump
-	// allocator carves pages on first touch and never un-carves, so
-	// FreePages legitimately drops while peak demand is discovered. The
-	// second epoch must then run entirely from the recycled-run pool —
-	// any further FreePages drop is a real page leak, and any VM beyond
-	// the golden image is a lifecycle leak.
+	// Two identical epochs. The first warms the stack up; the second
+	// must end with exactly as many free frames as the first left —
+	// FreePages counts every free frame, so any drop is a real page
+	// leak, and any VM beyond the golden image is a lifecycle leak.
 	warm := epoch()
 
-	// The warm-up epoch discovers demand by timing: how many restores
-	// overlap decides how many contiguous runs get carved, so a lucky
-	// schedule can leave the pool short of the worst case. Carve the
-	// peak deterministically — every client holding one full-geometry
-	// VM at once — and hand the runs back, so the gated epoch can never
-	// see a pool miss the warm-up happened to dodge.
 	mu.Lock()
-	held := make([]int, 0, opts.Clients)
-	for i := 0; i < opts.Clients; i++ {
-		info, err := mgr.Create(fleet.Spec{Workload: "stamp"})
-		if err != nil {
-			mu.Unlock()
-			return nil, fmt.Errorf("soak: pre-warming run pool: %w", err)
-		}
-		held = append(held, info.ID)
-	}
-	for _, id := range held {
-		if _, err := mgr.Destroy(id); err != nil {
-			mu.Unlock()
-			return nil, fmt.Errorf("soak: releasing pre-warm vm%d: %w", id, err)
-		}
-	}
 	baseline := k.FreePages()
 	baseVMs := len(k.VMs())
 	mu.Unlock()
